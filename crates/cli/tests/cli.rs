@@ -392,8 +392,12 @@ fn serve_answers_framed_requests_over_stdio() {
     wire::write_frame(&mut input, &wire::encode_request(&request(2))).unwrap();
     wire::write_frame(&mut input, &wire::encode_shutdown()).unwrap();
 
+    let telemetry =
+        std::env::temp_dir().join(format!("pebblyn-serve-telemetry-{}", std::process::id()));
     let mut child = Command::new(env!("CARGO_BIN_EXE_pebblyn"))
         .arg("serve")
+        .arg("--telemetry")
+        .arg(&telemetry)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -429,6 +433,17 @@ fn serve_answers_framed_requests_over_stdio() {
         .collect();
     assert_eq!(costs[0], costs[1], "cache hit must not change the answer");
     assert!(matches!(frames[2], Frame::Shutdown));
+
+    // The daemon's own accounting: requests and the repeat's cache hit
+    // were recorded, and nothing was shed.
+    let text = std::fs::read_to_string(&telemetry).expect("daemon wrote its telemetry");
+    std::fs::remove_file(&telemetry).ok();
+    let records =
+        pebblyn::telemetry::schema::validate_jsonl(&text).expect("schema-valid telemetry");
+    let counter = |name: &str| -> u64 { records.iter().map(|r| r.counters[name]).sum() };
+    assert!(counter("service_requests") > 0, "{text}");
+    assert!(counter("service_cache_hits") > 0, "{text}");
+    assert_eq!(counter("service_shed"), 0, "{text}");
 }
 
 #[test]

@@ -38,16 +38,19 @@ pub type Weight = u64;
 /// Nodes are identified by dense [`NodeId`]s.  Edges are directed from a
 /// predecessor (operand) to the node that consumes it.  Source nodes
 /// (in-degree 0) are the graph's inputs `A(G)`; sink nodes (out-degree 0) are
-/// its outputs `Z(G)`.  Construction (via [`CdagBuilder`]) guarantees
+/// its outputs `Z(G)`.  Construction (via [`Cdag::from_csr`]) guarantees
 /// acyclicity, positive weights, and `A(G) ∩ Z(G) = ∅`.
 ///
 /// Adjacency is stored in CSR (compressed sparse row) form: one flat
 /// `NodeId` array per direction plus an `n + 1` offset array, so
 /// [`preds`](Cdag::preds)/[`succs`](Cdag::succs) are O(1) slice views with
-/// no per-node allocation and traversals walk contiguous memory.  Per-node
-/// neighbor order equals edge insertion order, exactly as the previous
-/// `Vec<Vec<NodeId>>` layout produced.  Sources, sinks, and the edge count
-/// are precomputed at build time.
+/// no per-node allocation and traversals walk contiguous memory.
+/// [`preds`](Cdag::preds) keeps operand order (the order the edges into
+/// `v` were given, which operand-positional kernels rely on), while
+/// [`succs`](Cdag::succs) is always in ascending consumer id.  Every graph
+/// is built by [`Cdag::from_csr`], so a labelled graph has exactly one CSR
+/// however its edges were inserted or transported.  Sources, sinks, and
+/// the edge count are precomputed at build time.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Cdag {
     weights: Vec<Weight>,
@@ -309,8 +312,9 @@ impl Cdag {
         self.nodes().map(|v| self.in_degree(v)).max().unwrap_or(0)
     }
 
-    /// Build a [`Cdag`] directly from predecessor-CSR arrays, skipping the
-    /// per-edge bookkeeping of [`CdagBuilder`].
+    /// Build a [`Cdag`] directly from predecessor-CSR arrays.  This is the
+    /// only constructor: [`CdagBuilder::build`] buckets its edge list into
+    /// these arrays and calls it.
     ///
     /// `pred_off` must have `weights.len() + 1` entries with `pred_off[0] ==
     /// 0`, non-decreasing offsets, and `pred_off[n] == pred_adj.len()`;
@@ -323,11 +327,13 @@ impl Cdag {
     ///
     /// # Errors
     ///
-    /// The same structural invariants as [`CdagBuilder::build`]:
-    /// [`GraphError::Empty`], [`GraphError::ZeroWeight`],
-    /// [`GraphError::BadEdge`] (out-of-range endpoint or self-loop),
-    /// [`GraphError::DuplicateEdge`] (repeated predecessor of one node),
-    /// [`GraphError::Cycle`], and [`GraphError::SourceIsSink`].
+    /// * [`GraphError::Empty`] — no nodes,
+    /// * [`GraphError::ZeroWeight`] — some `w_v = 0` (weights must be `> 0`),
+    /// * [`GraphError::BadEdge`] — an out-of-range predecessor or a self-loop,
+    /// * [`GraphError::DuplicateEdge`] — a repeated predecessor of one node,
+    /// * [`GraphError::Cycle`] — the edge set is not acyclic,
+    /// * [`GraphError::SourceIsSink`] — an isolated node would be both input
+    ///   and output, violating the model's `A(G) ∩ Z(G) = ∅` assumption.
     ///
     /// # Panics
     ///
@@ -361,8 +367,11 @@ impl Cdag {
 
         // Endpoint / self-loop / duplicate checks with a stamp array: node v
         // stamps each predecessor slot with v + 1, so a repeat within one
-        // node's slice is caught in O(1) without hashing.
+        // node's slice is caught in O(1) without hashing.  The same pass
+        // counts out-degrees for the successor CSR, which a stable counting
+        // sort over the predecessor lists fills in ascending consumer id.
         let mut stamp = vec![0u32; n];
+        let mut succ_off = vec![0u32; n + 1];
         for v in 0..n {
             let to = NodeId(v as u32);
             for &p in &pred_adj[pred_off[v] as usize..pred_off[v + 1] as usize] {
@@ -373,13 +382,8 @@ impl Cdag {
                     return Err(GraphError::DuplicateEdge(p, to));
                 }
                 stamp[p.index()] = v as u32 + 1;
+                succ_off[p.index() + 1] += 1;
             }
-        }
-
-        // Successor CSR by stable counting sort over the predecessor lists.
-        let mut succ_off = vec![0u32; n + 1];
-        for &p in &pred_adj {
-            succ_off[p.index() + 1] += 1;
         }
         for v in 0..n {
             succ_off[v + 1] += succ_off[v];
@@ -393,19 +397,18 @@ impl Cdag {
             }
         }
 
-        // Kahn's algorithm: topological sort + cycle detection.
+        // Kahn's algorithm: topological sort + cycle detection, with `topo`
+        // itself as the FIFO queue.
         let mut indeg: Vec<u32> = (0..n).map(|v| pred_off[v + 1] - pred_off[v]).collect();
-        let mut queue: std::collections::VecDeque<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|v| indeg[v.index()] == 0)
-            .collect();
         let mut topo = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            topo.push(v);
+        topo.extend((0..n as u32).map(NodeId).filter(|v| indeg[v.index()] == 0));
+        let mut head = 0;
+        while let Some(&v) = topo.get(head) {
+            head += 1;
             for &u in &succ_adj[succ_off[v.index()] as usize..succ_off[v.index() + 1] as usize] {
                 indeg[u.index()] -= 1;
                 if indeg[u.index()] == 0 {
-                    queue.push_back(u);
+                    topo.push(u);
                 }
             }
         }
@@ -481,6 +484,9 @@ fn gcd(a: Weight, b: Weight) -> Weight {
 
 /// Incremental builder for [`Cdag`]s.
 ///
+/// Each node's predecessors keep the order their edges were added in; its
+/// successors come out in ascending id whatever the insertion order.
+///
 /// ```
 /// use pebblyn_core::CdagBuilder;
 /// let mut b = CdagBuilder::new();
@@ -543,110 +549,42 @@ impl CdagBuilder {
         self.weights.is_empty()
     }
 
-    /// Finish construction, verifying all structural invariants.
+    /// Finish construction through [`Cdag::from_csr`].
     ///
     /// # Errors
     ///
-    /// * [`GraphError::Empty`] — no nodes,
-    /// * [`GraphError::ZeroWeight`] — some `w_v = 0` (weights must be `> 0`),
-    /// * [`GraphError::BadEdge`] — an edge endpoint is out of range or a
-    ///   self-loop,
-    /// * [`GraphError::DuplicateEdge`] — an edge is listed twice,
-    /// * [`GraphError::Cycle`] — the edge set is not acyclic,
-    /// * [`GraphError::SourceIsSink`] — an isolated node would be both input
-    ///   and output, violating the model's `A(G) ∩ Z(G) = ∅` assumption.
+    /// The structural errors of [`Cdag::from_csr`]; an out-of-range
+    /// endpoint on either side of an edge is [`GraphError::BadEdge`].
     pub fn build(self) -> Result<Cdag, GraphError> {
         let n = self.weights.len();
-        let m = self.edges.len();
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        if let Some(v) = self.weights.iter().position(|&w| w == 0) {
-            return Err(GraphError::ZeroWeight(NodeId(v as u32)));
-        }
-        assert!(m <= u32::MAX as usize, "edge count exceeds u32 CSR offsets");
-        let mut seen = std::collections::HashSet::with_capacity(m);
+        assert!(
+            self.edges.len() <= u32::MAX as usize,
+            "edge count exceeds u32 CSR offsets"
+        );
+        // Predecessor CSR by stable counting sort: each consumer's slice
+        // keeps its operands in insertion order.  Both endpoints are
+        // range-checked first so the bucketing stays in bounds; `from_csr`
+        // checks everything else.
+        let mut pred_off = vec![0u32; n + 1];
         for &(a, b) in &self.edges {
-            if a.index() >= n || b.index() >= n || a == b {
+            if a.index() >= n || b.index() >= n {
                 return Err(GraphError::BadEdge(a, b));
             }
-            if !seen.insert((a, b)) {
-                return Err(GraphError::DuplicateEdge(a, b));
-            }
-        }
-
-        // CSR construction via stable counting sort: count per-node degrees,
-        // prefix-sum into offsets, then scatter edges in insertion order so
-        // each node's neighbor slice keeps the order edges were added in.
-        let mut pred_off = vec![0u32; n + 1];
-        let mut succ_off = vec![0u32; n + 1];
-        for &(a, b) in &self.edges {
             pred_off[b.index() + 1] += 1;
-            succ_off[a.index() + 1] += 1;
         }
         for v in 0..n {
             pred_off[v + 1] += pred_off[v];
-            succ_off[v + 1] += succ_off[v];
         }
-        let mut pred_adj = vec![NodeId(0); m];
-        let mut succ_adj = vec![NodeId(0); m];
-        let mut pred_cur: Vec<u32> = pred_off[..n].to_vec();
-        let mut succ_cur: Vec<u32> = succ_off[..n].to_vec();
+        let mut pred_adj = vec![NodeId(0); self.edges.len()];
+        let mut cur: Vec<u32> = pred_off[..n].to_vec();
         for &(a, b) in &self.edges {
-            pred_adj[pred_cur[b.index()] as usize] = a;
-            pred_cur[b.index()] += 1;
-            succ_adj[succ_cur[a.index()] as usize] = b;
-            succ_cur[a.index()] += 1;
+            pred_adj[cur[b.index()] as usize] = a;
+            cur[b.index()] += 1;
         }
 
-        // Kahn's algorithm: topological sort + cycle detection.
-        let succs = |v: usize| &succ_adj[succ_off[v] as usize..succ_off[v + 1] as usize];
-        let mut indeg: Vec<u32> = (0..n).map(|v| pred_off[v + 1] - pred_off[v]).collect();
-        let mut queue: std::collections::VecDeque<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|v| indeg[v.index()] == 0)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            topo.push(v);
-            for &u in succs(v.index()) {
-                indeg[u.index()] -= 1;
-                if indeg[u.index()] == 0 {
-                    queue.push_back(u);
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(GraphError::Cycle);
-        }
-
-        let mut sources = Vec::new();
-        let mut sinks = Vec::new();
-        for v in 0..n {
-            let is_source = pred_off[v] == pred_off[v + 1];
-            let is_sink = succ_off[v] == succ_off[v + 1];
-            if is_source && is_sink {
-                return Err(GraphError::SourceIsSink(NodeId(v as u32)));
-            }
-            if is_source {
-                sources.push(NodeId(v as u32));
-            }
-            if is_sink {
-                sinks.push(NodeId(v as u32));
-            }
-        }
-
-        Ok(Cdag {
-            weights: self.weights,
-            names: self.names,
-            topo,
-            pred_off,
-            pred_adj,
-            succ_off,
-            succ_adj,
-            sources,
-            sinks,
-        })
+        let mut g = Cdag::from_csr(self.weights, pred_off, pred_adj)?;
+        g.names = self.names;
+        Ok(g)
     }
 }
 
@@ -734,6 +672,14 @@ mod tests {
         b.edge(x, y);
         b.edge(x, y);
         assert!(matches!(b.build(), Err(GraphError::DuplicateEdge(_, _))));
+    }
+
+    #[test]
+    fn rejects_out_of_range_edge() {
+        let mut b = CdagBuilder::new();
+        let x = b.node(1, "x");
+        b.edge(x, NodeId(9));
+        assert!(matches!(b.build(), Err(GraphError::BadEdge(_, _))));
     }
 
     #[test]
@@ -843,21 +789,12 @@ mod tests {
     #[test]
     fn from_csr_matches_builder() {
         // Same diamond as `diamond()`, expressed as predecessor CSR.
-        let weights = vec![16, 16, 32, 32, 16];
         let pred_off = vec![0, 0, 0, 2, 3, 5];
         let pred_adj = vec![NodeId(0), NodeId(1), NodeId(1), NodeId(2), NodeId(3)];
-        let g = Cdag::from_csr(weights, pred_off, pred_adj).unwrap();
-        let b = diamond();
-        assert_eq!(g.len(), b.len());
-        assert_eq!(g.edge_count(), b.edge_count());
-        assert_eq!(g.sources(), b.sources());
-        assert_eq!(g.sinks(), b.sinks());
-        assert_eq!(g.topo_order(), b.topo_order());
-        for v in g.nodes() {
-            assert_eq!(g.preds(v), b.preds(v));
-            assert_eq!(g.succs(v), b.succs(v));
-            assert_eq!(g.name(v), ""); // no name table
-        }
+        let mut g = Cdag::from_csr(vec![16, 16, 32, 32, 16], pred_off, pred_adj).unwrap();
+        assert!(g.nodes().all(|v| g.name(v).is_empty())); // no name table
+        g.names = ["a", "b", "c", "d", "e"].map(String::from).to_vec();
+        assert_eq!(g, diamond());
     }
 
     #[test]

@@ -219,9 +219,9 @@ pub fn serve_stream(
 /// Serve a unix socket until a client sends a shutdown frame.
 ///
 /// Connections are handled one at a time in accept order — the worker
-/// pool parallelism lives *behind* the queue, and the load generator
-/// drives a single pipelined connection — which keeps the transport free
-/// of per-connection thread management.
+/// pool parallelism lives *behind* the queue, and a client drives a
+/// single pipelined connection — which keeps the transport free of
+/// per-connection thread management.
 pub fn serve_unix(server: &Server, path: &Path) -> std::io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;

@@ -56,7 +56,8 @@ impl GraphSpec {
 
 /// One service request: a [`ScheduleRequest`] over a [`GraphSpec`], plus
 /// the wire-level id used to pair responses on a pipelined connection and
-/// a per-request cache opt-out (the load generator's control runs).
+/// a per-request cache opt-out (cold-solve references and cache-disabled
+/// control runs).
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
@@ -185,7 +186,7 @@ impl Service {
         Service::new(&ServiceConfig::default())
     }
 
-    /// The cache, when enabled (the load generator reads its stats).
+    /// The cache, when enabled (`pebblyn serve` reports its stats on exit).
     pub fn cache(&self) -> Option<&ScheduleCache> {
         self.cache.as_ref()
     }

@@ -3,6 +3,8 @@
 
 use pebblyn::conformance::metamorphic::scale_weights;
 use pebblyn::prelude::*;
+use pebblyn::service::wire::{self, Frame};
+use pebblyn::service::{GraphSpec, Request};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,8 +34,105 @@ fn arb_scheme() -> impl Strategy<Value = WeightScheme> {
     ]
 }
 
+/// Fisher–Yates shuffle.
+fn shuffle<T>(xs: &mut [T], rng: &mut ChaCha8Rng) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, rand::Rng::gen_range(rng, 0..=i));
+    }
+}
+
+/// Rebuild `g` with its edges inserted in a random order that keeps each
+/// consumer's operand order: one slot per edge is labelled with its
+/// consumer, the labels are shuffled, and each consumer takes its operands
+/// front to back as its slots come up.
+fn rebuild_shuffled(g: &Cdag, rng: &mut ChaCha8Rng) -> Cdag {
+    let mut slots: Vec<NodeId> = g
+        .nodes()
+        .flat_map(|v| std::iter::repeat_n(v, g.in_degree(v)))
+        .collect();
+    shuffle(&mut slots, rng);
+    let mut b = CdagBuilder::with_capacity(g.len());
+    for v in g.nodes() {
+        b.node(g.weight(v), g.name(v));
+    }
+    let mut taken = vec![0usize; g.len()];
+    for v in slots {
+        b.edge(g.preds(v)[taken[v.index()]], v);
+        taken[v.index()] += 1;
+    }
+    b.build().expect("a reordered valid graph is valid")
+}
+
+/// One graph per workload family (`pick` 0–4) or a conformance-generated
+/// graph (`pick` 5).
+fn family_or_conformance_graph(pick: usize, seed: u64, scheme: WeightScheme) -> Cdag {
+    let workload = match pick {
+        0 => Workload::Dwt { n: 64, d: 3 },
+        1 => Workload::Mvm { m: 6, n: 7 },
+        2 => Workload::Conv { n: 24, k: 4 },
+        3 => Workload::Dwt2d { n: 8, levels: 2 },
+        4 => Workload::Banded {
+            n: 16,
+            bandwidth: 3,
+        },
+        _ => return pebblyn::conformance::generate(seed, seed % 8).graph,
+    };
+    AnyGraph::build(workload, scheme).unwrap().cdag().clone()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A labelled graph has one CSR however it was built or sent: edges
+    /// inserted in another order (each consumer keeping its operand order)
+    /// rebuild an equal `Cdag`, a wire round-trip reproduces the adjacency
+    /// and topological order, and every registered scheduler returns the
+    /// same cost and the same move bytes on the local and the wire copy.
+    #[test]
+    fn answers_ignore_build_order_and_wire(
+        pick in 0usize..6, seed in 0u64..5000, scheme in arb_scheme()
+    ) {
+        let g = family_or_conformance_graph(pick, seed, scheme);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        prop_assert!(rebuild_shuffled(&g, &mut rng) == g, "insertion order changed the CSR");
+
+        let b = min_feasible_budget(&g);
+        let frame = wire::encode_request(&Request {
+            id: seed,
+            ask: ScheduleRequest::new(GraphSpec::Custom(g.clone()), b, "greedy-belady"),
+            no_cache: false,
+        });
+        let Ok(Frame::Request(req)) = wire::decode_payload(&frame) else {
+            panic!("request frame decodes");
+        };
+        let GraphSpec::Custom(w) = req.ask.graph() else {
+            panic!("custom graph decodes as custom");
+        };
+        for v in g.nodes() {
+            prop_assert_eq!(g.preds(v), w.preds(v));
+            prop_assert_eq!(g.succs(v), w.succs(v));
+        }
+        prop_assert_eq!(g.topo_order(), w.topo_order());
+
+        let local = AnyGraph::custom("graph", g.clone());
+        let wired = AnyGraph::custom("graph", w.clone());
+        let machines = [
+            MachineSpec::uniprocessor(b),
+            MachineSpec::uniprocessor(2 * b),
+            MachineSpec::symmetric(2, 2 * b),
+        ];
+        for machine in machines {
+            for &s in api::registry() {
+                if !s.supports_machine(&local, &machine) {
+                    continue;
+                }
+                let answer = |x: &AnyGraph| {
+                    api::execute_with(s, &ScheduleRequest::new(x, machine.clone(), s.name()))
+                };
+                prop_assert_eq!(answer(&local), answer(&wired), "{} on {:?}", s.name(), machine);
+            }
+        }
+    }
 
     /// The k-ary DP emits valid schedules whose replayed cost equals the
     /// DP's claim, sits at or above the lower bound, and is monotone in
@@ -199,11 +298,12 @@ proptest! {
         }
     }
 
-    /// CSR construction round-trips the builder: for random DAG edge lists,
-    /// the flat adjacency agrees with a naive `Vec<Vec<NodeId>>` layout
-    /// built from the same edges — per-node neighbor order included — and
-    /// the cached sources/sinks/edge-count/topo/ancestors match what the
-    /// naive layout derives.
+    /// CSR construction round-trips the builder: for random DAG edge lists
+    /// inserted in shuffled order, the flat adjacency agrees with a naive
+    /// `Vec<Vec<NodeId>>` layout built from the same edges — predecessors
+    /// in insertion order, successors in ascending id — and the cached
+    /// sources/sinks/edge-count/topo/ancestors match what the naive layout
+    /// derives.
     #[test]
     fn csr_round_trips_builder(seed in 0u64..5000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -220,6 +320,8 @@ proptest! {
             }
         }
 
+        shuffle(&mut edges, &mut rng);
+
         let mut b = CdagBuilder::new();
         let ids: Vec<NodeId> = (0..n)
             .map(|i| b.node(rand::Rng::gen_range(&mut rng, 1u64..=9), format!("v{i}")))
@@ -231,12 +333,15 @@ proptest! {
         // successor, so the builder's isolated-node check cannot fire.
         let g = b.build().expect("random DAG builds");
 
-        // Naive adjacency in edge-insertion order — the pre-CSR layout.
+        // Naive adjacency: predecessors in insertion order, successors sorted.
         let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         for &(x, y) in &edges {
             preds[y].push(ids[x]);
             succs[x].push(ids[y]);
+        }
+        for s in &mut succs {
+            s.sort();
         }
 
         prop_assert_eq!(g.edge_count(), edges.len());
